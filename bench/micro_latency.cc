@@ -1,13 +1,13 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot paths backing the
- * Sec. V-E overhead discussion: one GBT prediction (reference walk and
- * flat engine), one controller decision, one thermal step, one
- * MLTD/severity evaluation, and one full pipeline telemetry step.
+ * Sec. V-E overhead discussion: one GBT prediction, one controller
+ * decision, one thermal step, one MLTD/severity evaluation, and one
+ * full pipeline telemetry step.
  *
  * Every benchmark runs kRepetitions times so the capturing reporter
  * can surface tail latency: the artifact's "latency" series carries
- * mean/p50/p99 per benchmark in the same schema gbt_throughput emits.
+ * mean/p50/p99 per benchmark.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +20,6 @@
 #include "common/table.hh"
 #include "control/boreas_controller.hh"
 #include "ml/feature_schema.hh"
-#include "ml/gbt_flat.hh"
 #include "report.hh"
 #include "workload/registry.hh"
 #include "workload/spec2006.hh"
@@ -92,17 +91,6 @@ BM_GBTPrediction(benchmark::State &bm)
         benchmark::DoNotOptimize(s.trained.model.predict(x.data()));
 }
 BENCHMARK(BM_GBTPrediction)->Apply(microBench);
-
-static void
-BM_FlatGBTPrediction(benchmark::State &bm)
-{
-    MicroState &s = state();
-    const FlatGBT flat(s.trained.model);
-    std::vector<double> x(flat.numFeatures(), 0.5);
-    for (auto _ : bm)
-        benchmark::DoNotOptimize(flat.predictOne(x.data()));
-}
-BENCHMARK(BM_FlatGBTPrediction)->Apply(microBench);
 
 static void
 BM_ControllerDecision(benchmark::State &bm)
@@ -247,7 +235,6 @@ main(int argc, char **argv)
     argc = kept;
 
     boreas::bench::BenchReport report("micro_latency");
-    report.predictEngine("flat");
     if (!g_workload_spec.empty())
         report.workloadSource(g_workload_spec);
     benchmark::Initialize(&argc, argv);
@@ -269,7 +256,7 @@ main(int argc, char **argv)
                       TextTable::num(s.p50Ns, 1),
                       TextTable::num(s.p99Ns, 1)});
         report.latency(b.name, s);
-        if (b.name == "BM_FlatGBTPrediction")
+        if (b.name == "BM_GBTPrediction")
             predict_ns = s.p50Ns;
         else if (b.name == "BM_ControllerDecision")
             decide_ns = s.p50Ns;

@@ -31,9 +31,9 @@ namespace boreas::bench
 {
 
 /**
- * The shared per-benchmark latency schema (micro_latency and
- * gbt_throughput both emit it): sample count plus mean/p50/p99 in
- * nanoseconds, one row per benchmark in a "latency" series.
+ * The per-benchmark latency schema micro_latency emits: sample count
+ * plus mean/p50/p99 in nanoseconds, one row per benchmark in a
+ * "latency" series.
  */
 struct LatencySummary
 {
@@ -78,9 +78,6 @@ class BenchReport
 
     /** Record the workload-source spec string the bench ran. */
     void workloadSource(const std::string &spec_string);
-
-    /** Record the GBT inference path ("flat" / "reference"). */
-    void predictEngine(const std::string &name);
 
     /** Record the fleet size of a src/fleet experiment. */
     void fleetDies(int dies);

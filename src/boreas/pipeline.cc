@@ -254,7 +254,7 @@ SimulationPipeline::step(GHz freq)
         obs::ScopedTimer timer("stage.thermal");
         // Nested split so BENCH artifacts can attribute the stage to
         // the configured integrator (stage.thermal.explicit vs
-        // stage.thermal.spectral vs stage.thermal.surrogate).
+        // stage.thermal.spectral).
         obs::ScopedTimer split(grid_.solverTimerName());
         grid_.step(config_.stepLength);
     }

@@ -15,7 +15,6 @@ BoreasController::BoreasController(
 {
     boreas_assert(model_ != nullptr && model_->trained(),
                   "BoreasController needs a trained model");
-    flat_ = FlatGBT(*model_);
     boreas_assert(model_->numFeatures() == featureIndices_.size(),
                   "model expects %zu features, got %zu",
                   model_->numFeatures(), featureIndices_.size());
@@ -37,7 +36,7 @@ BoreasController::predictSeverity(const DecisionContext &ctx,
     x.reserve(featureIndices_.size());
     for (size_t idx : featureIndices_)
         x.push_back(full[idx]);
-    return flat_.predictOne(x.data());
+    return model_->predict(x.data());
 }
 
 GHz

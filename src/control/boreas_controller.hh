@@ -24,7 +24,6 @@
 #include "control/controller.hh"
 #include "ml/feature_schema.hh"
 #include "ml/gbt.hh"
-#include "ml/gbt_flat.hh"
 
 namespace boreas
 {
@@ -57,10 +56,6 @@ class BoreasController : public FrequencyController
   private:
     std::string name_;
     const GBTRegressor *model_;
-    /** Flat engine compiled from *model_ at construction: the serving
-     *  path every per-period severity query goes through (bit-identical
-     *  to model_->predict; DESIGN.md §12). */
-    FlatGBT flat_;
     std::vector<size_t> featureIndices_;
     double threshold_;
     int sensorIndex_;

@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "ml/gbt_flat.hh"
 #include "obs/trace.hh"
 
 namespace boreas
@@ -335,20 +334,15 @@ GBTRegressor::train(const Dataset &data, const GBTParams &params)
         }
 
         // Update running predictions with the shrunk tree output
-        // (independent per row; fanned out for large datasets). The
-        // freshly grown tree is flattened first: treeLeaf() selects
-        // the same leaf as tree.predict(), so the update is
-        // bit-identical while the descent is branchless.
+        // (independent per row; fanned out for large datasets).
         {
             obs::ScopedTimer timer("gbt.predict");
-            const FlatGBT flat_tree =
-                FlatGBT::fromSingleTree(tree, nf);
             ThreadPool::global().parallelFor(
                 0, static_cast<int64_t>(n), 4096,
                 [&](int64_t lo, int64_t hi) {
                     for (int64_t i = lo; i < hi; ++i) {
                         pred[i] += params.learningRate *
-                            flat_tree.treeLeaf(0, data.row(i));
+                            tree.predict(data.row(i));
                     }
                 });
         }
@@ -401,11 +395,16 @@ GBTRegressor::predictAll(const Dataset &data) const
     boreas_assert(data.numFeatures() == numFeatures_,
                   "dataset feature count mismatch");
     obs::ScopedTimer timer("gbt.predict");
-    // Compile-and-batch through the flat engine: compilation is a few
-    // microseconds for paper-sized models, and predictBatch is
-    // bit-identical to the per-row reference walk (DESIGN.md §12).
-    const FlatGBT flat(*this);
-    return flat.predictDataset(data);
+    // Rows are independent, so each slot is written by one chunk and
+    // the result does not depend on the thread count.
+    std::vector<double> out(data.numRows());
+    ThreadPool::global().parallelFor(
+        0, static_cast<int64_t>(out.size()), 1024,
+        [&](int64_t lo, int64_t hi) {
+            for (int64_t r = lo; r < hi; ++r)
+                out[r] = predict(data.row(r));
+        });
+    return out;
 }
 
 double

@@ -81,15 +81,16 @@ class GBTRegressor
 
     /**
      * Predict one row (pointer to numFeatures() doubles) by walking
-     * the explicit child links. This is the reference path the flat
-     * engine (ml/gbt_flat.hh) is differential-tested against; batched
-     * and hot-loop callers should compile a FlatGBT instead.
+     * the explicit child links. This is the only inference path: the
+     * controller, the trainer and predictAll() all go through it
+     * (DESIGN.md §12).
      */
     double predict(const double *x) const;
     double predict(const std::vector<double> &x) const;
 
-    /** Predict every row of a dataset (must share the feature order).
-     *  Routed through a FlatGBT compiled on the fly. */
+    /** Predict every row of a dataset (must share the feature order),
+     *  fanned out over the global thread pool; bit-identical to
+     *  predict() row by row at any thread count. */
     std::vector<double> predictAll(const Dataset &data) const;
 
     /** Mean squared error on a dataset. */

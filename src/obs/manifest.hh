@@ -26,8 +26,8 @@ struct RunManifest
     /** Parallel lanes the run was executed with. */
     int threads = 1;
     /**
-     * Thermal integrator the run used ("explicit" / "spectral" /
-     * "surrogate"); "" when the bench predates solver selection or
+     * Thermal integrator the run used ("explicit" / "spectral");
+     * "" when the bench predates solver selection or
      * does not run the thermal stage.
      */
     std::string thermalSolver;
@@ -37,12 +37,6 @@ struct RunManifest
      * for benches that sweep whole suites rather than one source.
      */
     std::string workloadSource;
-    /**
-     * GBT inference path the run measured ("flat" for the batched
-     * SoA engine, "reference" for the pointer-chasing tree walk); ""
-     * for benches that never serve severity predictions.
-     */
-    std::string predictEngine;
     /**
      * boreas-trace-v1 payload checksum when the run recorded or
      * replayed a trace (valid when hasTraceChecksum).

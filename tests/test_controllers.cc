@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hh"
 #include "control/boreas_controller.hh"
 #include "control/static_controllers.hh"
@@ -195,6 +197,37 @@ TEST(BoreasController, PredictSeverityIncreasesWithCandidate)
     const auto ctx = makeContext(vf, 3.0, 85.0, &counters);
     EXPECT_LT(c.predictSeverity(ctx, 2.0),
               c.predictSeverity(ctx, 5.0));
+}
+
+TEST(BoreasController, PredictSeverityIsTheModelOnSelectedColumns)
+{
+    // The controller serves every query through model.predict on the
+    // model's own columns picked out of the full telemetry schema, so
+    // the two agree to the bit.
+    VFTable vf;
+    const GBTRegressor model = syntheticSeverityModel();
+    const std::vector<std::string> &names = deployedFeatureNames();
+    BoreasController c("ML05", &model, names, 0.05, 0);
+    const std::vector<size_t> cols = featureIndicesOf(names);
+
+    Rng rng(7);
+    CounterSet counters;
+    for (double &v : counters.values)
+        v = rng.uniform(0.0, 1e6);
+    for (const Celsius reading : {55.0, 85.0, 104.0}) {
+        const auto ctx = makeContext(vf, 4.0, reading, &counters);
+        for (const GHz f : vf.frequencies()) {
+            const std::vector<double> full =
+                assembleFeatures(counters, reading, f);
+            std::vector<double> x;
+            for (size_t col : cols)
+                x.push_back(full[col]);
+            const double want = model.predict(x);
+            const double got = c.predictSeverity(ctx, f);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+                << reading << " C at " << f << " GHz";
+        }
+    }
 }
 
 TEST(BoreasControllerDeathTest, RequiresTrainedModel)

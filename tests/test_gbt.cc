@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "ml/gbt.hh"
 
@@ -44,6 +46,22 @@ stepData(size_t n, uint64_t seed)
                  static_cast<int>(i % 3));
     }
     return d;
+}
+
+/** Restores the global pool to its default size on scope exit. */
+struct GlobalPoolGuard
+{
+    ~GlobalPoolGuard()
+    {
+        ThreadPool::resetGlobal(ThreadPool::defaultThreads());
+    }
+};
+
+/** Bit-level equality (EXPECT_DOUBLE_EQ tolerates 4 ulps; we do not). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 } // namespace
@@ -331,6 +349,46 @@ TEST(GBTDeathTest, PredictRejectsWrongWidth)
     model.train(train, GBTParams{.nEstimators = 5});
     EXPECT_DEATH(model.predict(std::vector<double>{1.0}),
                  "feature vector size");
+}
+
+TEST(GBT, PredictAllMatchesPredictBitForBitAtAnyThreadCount)
+{
+    // The deployed shape (Table II defaults: 223 depth-3 trees) over
+    // enough rows that predictAll fans out into several chunks.
+    const Dataset data = linearData(3000, 0.05, 41);
+    GBTRegressor model;
+    model.train(data, GBTParams{});
+    ASSERT_EQ(model.numTrees(), 223u);
+
+    GlobalPoolGuard guard;
+    for (const int threads : {1, 8}) {
+        ThreadPool::resetGlobal(threads);
+        const std::vector<double> all = model.predictAll(data);
+        ASSERT_EQ(all.size(), data.numRows());
+        for (size_t r = 0; r < data.numRows(); ++r)
+            ASSERT_TRUE(sameBits(all[r], model.predict(data.row(r))))
+                << threads << " threads, row " << r;
+    }
+}
+
+TEST(GBT, PredictAllHandlesStumpsAndEmptyDatasets)
+{
+    // gamma prunes every split, so every tree is a single leaf.
+    Dataset d({"x"});
+    Rng rng(1);
+    for (int i = 0; i < 100; ++i)
+        d.addRow({rng.uniform()}, 7.5, 0);
+    GBTRegressor model;
+    model.train(d, GBTParams{.gamma = 1e6, .nEstimators = 8});
+    for (const auto &tree : model.trees())
+        EXPECT_EQ(tree.nodes.size(), 1u);
+
+    const std::vector<double> all = model.predictAll(d);
+    ASSERT_EQ(all.size(), d.numRows());
+    for (size_t r = 0; r < d.numRows(); ++r)
+        EXPECT_TRUE(sameBits(all[r], model.predict(d.row(r))));
+
+    EXPECT_TRUE(model.predictAll(Dataset({"x"})).empty());
 }
 
 class GBTLearningRate : public ::testing::TestWithParam<double>

@@ -192,33 +192,6 @@ TEST(Lint, RawNewDeleteFires)
         "declarations must not";
 }
 
-TEST(Lint, FlatGbtPredictFires)
-{
-    const auto vs = lintFixture("bad_gbt_predict.cc");
-    EXPECT_EQ(countRule(vs, "flat-gbt-predict"), 2)
-        << "the GBTTree mention and the trees()[] walk each fire; "
-        "the allow()ed trees().at() must not";
-}
-
-TEST(Lint, FlatGbtPredictExemptInMlModule)
-{
-    // The ML library implements both prediction paths; everywhere
-    // else in src-like zones the rule points callers at the flat
-    // engine. Tests and benches (reference/differential users by
-    // design) are outside the rule's zone entirely.
-    const std::string body =
-        "#include \"ml/gbt.hh\"\n"
-        "double f(const boreas::GBTTree &t, const double *x)\n"
-        "{ return t.predict(x); }\n";
-    EXPECT_TRUE(lintContent("src/ml/gbt_flat.cc", body).empty());
-    EXPECT_EQ(countRule(lintContent("src/control/controller.cc", body),
-                        "flat-gbt-predict"), 1);
-    EXPECT_EQ(countRule(lintContent("tests/test_gbt.cc", body),
-                        "flat-gbt-predict"), 0);
-    EXPECT_EQ(countRule(lintContent("bench/micro_latency.cc", body),
-                        "flat-gbt-predict"), 0);
-}
-
 TEST(Lint, HeaderMissingPragmaOnceFires)
 {
     const auto vs = lintFixture("bad_header.hh");

@@ -2,7 +2,7 @@
  * @file
  * Tests for the spectral thermal fast path: the 2-D DCT plan, the
  * mode-space exponential integrator, analytic closed-form solutions
- * for both integrators, and the surrogate seam (DESIGN.md §9).
+ * for both integrators, and solver selection (DESIGN.md §9).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "floorplan/skylake.hh"
 #include "thermal/spectral_solver.hh"
-#include "thermal/surrogate.hh"
 #include "thermal/thermal_grid.hh"
 
 using namespace boreas;
@@ -480,89 +479,13 @@ TEST(SpectralShadow, ZeroToleranceFallsBackToExplicitExactly)
 }
 
 // ---------------------------------------------------------------------
-// Surrogate seam
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Mock backend: deposits power/heat as a fixed offset per step. */
-class RampSurrogate : public ThermalSurrogate
-{
-  public:
-    void
-    step(const std::vector<Watts> &cell_power, Seconds dt,
-         std::vector<Celsius> &si, std::vector<Celsius> &sp,
-         Celsius &sink) override
-    {
-        (void)cell_power;
-        (void)dt;
-        for (Celsius &t : si)
-            t += 1.0;
-        for (Celsius &t : sp)
-            t += 0.5;
-        sink += 0.25;
-        ++calls;
-    }
-
-    int calls = 0;
-};
-
-} // namespace
-
-TEST(SurrogateSeam, GridDispatchesToAttachedBackend)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    p.solver = ThermalSolverKind::Surrogate;
-    ThermalGrid grid(fp, p);
-    RampSurrogate surrogate;
-    grid.setSurrogate(&surrogate);
-
-    grid.setUnitPower(std::vector<Watts>(fp.numUnits(), 0.0));
-    for (int i = 0; i < 4; ++i)
-        grid.step(kTelemetryStep);
-
-    EXPECT_EQ(surrogate.calls, 4);
-    EXPECT_DOUBLE_EQ(grid.maxSiliconTemp(), kAmbient + 4.0);
-    EXPECT_DOUBLE_EQ(grid.sinkTemp(), kAmbient + 1.0);
-}
-
-using SurrogateSeamDeathTest = ::testing::Test;
-
-TEST(SurrogateSeamDeathTest, SteppingWithoutBackendPanics)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    p.solver = ThermalSolverKind::Surrogate;
-    ThermalGrid grid(fp, p);
-    EXPECT_DEATH(grid.step(kTelemetryStep), "none attached");
-}
-
-TEST(SurrogateSeamDeathTest, AttachingToWrongSolverPanics)
-{
-    const Floorplan fp = buildSkylakeFloorplan();
-    ThermalParams p;
-    p.nx = 16;
-    p.ny = 16;
-    ThermalGrid grid(fp, p);
-    RampSurrogate surrogate;
-    EXPECT_DEATH(grid.setSurrogate(&surrogate), "explicit");
-}
-
-// ---------------------------------------------------------------------
 // Solver selection plumbing
 // ---------------------------------------------------------------------
 
 TEST(SolverSelection, NamesRoundTrip)
 {
     for (ThermalSolverKind kind :
-         {ThermalSolverKind::Explicit, ThermalSolverKind::Spectral,
-          ThermalSolverKind::Surrogate})
+         {ThermalSolverKind::Explicit, ThermalSolverKind::Spectral})
         EXPECT_EQ(parseThermalSolverName(thermalSolverName(kind)), kind);
 }
 
@@ -572,4 +495,7 @@ TEST(SolverSelectionDeathTest, UnknownNameIsFatal)
 {
     EXPECT_DEATH(parseThermalSolverName("crank-nicolson"),
                  "unknown thermal solver");
+    EXPECT_DEATH(parseThermalSolverName("surrogate"),
+                 "unknown thermal solver 'surrogate' "
+                 "\\(want explicit.spectral\\)");
 }

@@ -48,13 +48,6 @@ isWorkloadModule(const std::string &path)
     return pathContains(path, "src/workload");
 }
 
-/** The ML library itself implements both prediction paths. */
-bool
-isMlModule(const std::string &path)
-{
-    return pathContains(path, "src/ml");
-}
-
 struct LineRule
 {
     const char *id;
@@ -113,14 +106,6 @@ const LineRule kLineRules[] = {
      "(workload/registry.hh) or the suite accessors so every "
      "stimulus is a named, registered source",
      false, srcOrBench, isWorkloadModule},
-    {"flat-gbt-predict",
-     "per-tree GBT walking outside src/ml",
-     R"(\bGBTTree\b|\btrees\(\)\s*(\[|\.at\s*\())",
-     "walking GBTTree nodes outside src/ml re-grows the "
-     "pointer-chasing serving path; compile a FlatGBT "
-     "(ml/gbt_flat.hh) and use predictOne/predictBatch, or "
-     "justify a structural (non-predict) use with an allow()",
-     false, nullptr, isMlModule},
     {"raw-new-delete",
      "raw new/delete expression",
      R"((^|[^\w.:>])new\s+[A-Za-z_(]|(^|[^\w.:>=]|[^=] )delete\s*(\[\s*\])?\s+[A-Za-z_(*]|(^|[^\w.:>])delete\s+this\b)",
