@@ -178,7 +178,8 @@ SimulationPipeline::step(GHz freq)
     const Volts volts = vf_.voltage(freq);
     const int ncores = source_->numCores();
 
-    std::vector<CoreStimulus> stimuli(ncores);
+    std::vector<CoreStimulus> &stimuli = stimuli_;
+    stimuli.resize(ncores);
     for (int c = 0; c < ncores; ++c)
         stimuli[c] = source_->stimulus(c);
 
@@ -201,8 +202,10 @@ SimulationPipeline::step(GHz freq)
     rec.frequency = freq;
     rec.voltage = volts;
 
-    std::vector<CounterSet> core_counters(ncores);
-    std::vector<double> residuals(ncores, 1.0);
+    std::vector<CounterSet> &core_counters = coreCounters_;
+    std::vector<double> &residuals = residuals_;
+    core_counters.assign(ncores, CounterSet{});
+    residuals.assign(ncores, 1.0);
     {
         obs::ScopedTimer timer("stage.arch");
         for (int c = 0; c < ncores; ++c) {
@@ -237,7 +240,8 @@ SimulationPipeline::step(GHz freq)
                 rec.counters, config_.activeCore, residuals[0], freq,
                 volts, unit_temps, config_.stepLength);
         } else {
-            std::vector<const CounterSet *> ptrs(ncores, nullptr);
+            std::vector<const CounterSet *> &ptrs = corePtrs_;
+            ptrs.assign(ncores, nullptr);
             for (int c = 0; c < ncores; ++c) {
                 if (stimuli[c].active)
                     ptrs[c] = &core_counters[c];
@@ -279,15 +283,14 @@ SimulationPipeline::step(GHz freq)
 
     // Bitwise fingerprint of everything this step observed or
     // mutated. Fed by the determinism audit (tests compare it across
-    // thread counts); cheap next to the thermal integration.
+    // thread counts).
     {
         obs::ScopedTimer timer("stage.hash");
-        Fnv1a hasher;
+        StateHash hasher;
         hasher.add(rec.step);
         hasher.add(rec.frequency);
         hasher.add(rec.voltage);
-        for (double v : rec.counters.values)
-            hasher.add(v);
+        hasher.add(rec.counters.values.data(), rec.counters.values.size());
         hasher.add(rec.totalPower);
         hasher.add(rec.severity.maxSeverity);
         hasher.add(rec.severity.argmaxCell);
@@ -300,19 +303,18 @@ SimulationPipeline::step(GHz freq)
         hasher.add(grid_.siliconTemps());
         hasher.add(grid_.sinkTemp());
         // Multi-core sources append the other cores' telemetry (and
-        // activity) after the legacy fields, leaving every
-        // single-core hash byte-identical to earlier releases.
+        // activity) after the single-core fields.
         if (ncores > 1) {
             for (int c = 1; c < ncores; ++c) {
-                for (double v : rec.coreCounters[c].values)
-                    hasher.add(v);
+                const auto &values = rec.coreCounters[c].values;
+                hasher.add(values.data(), values.size());
             }
             for (int c = 0; c < ncores; ++c)
                 hasher.add(static_cast<int>(stimuli[c].active));
         }
         rec.stateHash = hasher.digest();
 
-        Fnv1a combine;
+        StateHash combine;
         combine.add(runHash_);
         combine.add(rec.stateHash);
         runHash_ = combine.digest();

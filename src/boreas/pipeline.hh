@@ -77,7 +77,7 @@ struct StepRecord
     std::vector<Celsius> sensorTrue;     ///< instantaneous at the sites
 
     /**
-     * FNV-1a over this step's full observable state (counters, power,
+     * StateHash over this step's full observable state (counters, power,
      * severity, sensors) plus the silicon temperature field — the
      * bitwise fingerprint the determinism audit compares across
      * thread counts (DESIGN.md §7).
@@ -153,7 +153,7 @@ class SimulationPipeline
     int currentStep() const { return stepIndex_; }
 
     /**
-     * Running FNV-1a combination of every stateHash since start().
+     * Running StateHash combination of every stateHash since start().
      * Two runs of the same workload/seed/schedule must agree bitwise
      * at any thread count (common/parallel.hh determinism contract).
      */
@@ -250,6 +250,13 @@ class SimulationPipeline
     Rng sensorRng_{0};
     int stepIndex_ = 0;
     uint64_t runHash_ = 0;
+
+    // step() scratch, reused across steps so the hot loop does not
+    // reallocate them; sized to the source's core count.
+    std::vector<CoreStimulus> stimuli_;
+    std::vector<CounterSet> coreCounters_;
+    std::vector<double> residuals_;
+    std::vector<const CounterSet *> corePtrs_;
 };
 
 } // namespace boreas

@@ -68,16 +68,33 @@ class SeverityModel
 
     /**
      * MLTD field of a temperature grid: per cell, the drop from the cell
-     * to the coolest cell within the radius. Computed with a separable
-     * sliding-window minimum (square window approximating the disk),
-     * O(cells) regardless of radius.
+     * to the coolest cell within the radius, taken as a square window
+     * of half-width w = round(radius / cell_size) cells (clamped to
+     * the grid) that approximates the disk and is clipped at the die
+     * edge. cell_size must be finite and > 0.
+     *
+     * The window minimum is separable and computed with the van
+     * Herk/Gil-Werman scheme on each axis: split the line into
+     * blocks of 2w + 1, take prefix and suffix minima within each
+     * block, and every window is the min of one block's suffix and
+     * the next block's prefix — about three comparisons per cell and
+     * axis, whatever the radius. The column pass applies this to
+     * whole rows of nx values at a time, streaming rows through
+     * O((2w + 1) * nx) doubles of scratch, never a full grid. Min is
+     * exact, so the result does not depend on the scheme. Const and
+     * thread-safe.
      */
     std::vector<Celsius> mltdField(const std::vector<Celsius> &temps,
                                    int nx, int ny,
                                    Meters cell_size) const;
 
     /**
-     * Evaluate the snapshot metrics of a temperature grid.
+     * Evaluate the snapshot metrics of a temperature grid: mltdField()'s
+     * window minimum fused row by row with the severity, argmax and
+     * max scans. The argmax is the first strict maximum in row-major
+     * order. Allocates nothing beyond per_cell when the scratch fits
+     * a fixed 32 KiB stack buffer, as it does for the 64x64 die grid.
+     * Const and thread-safe.
      *
      * @param per_cell optional out-param: per-cell severity field
      */
@@ -88,6 +105,8 @@ class SeverityModel
 
   private:
     SeverityParams params_;
+    double slopeMid_;  ///< dT_crit/dMLTD on (0, mltdMid]
+    double slopeHigh_; ///< dT_crit/dMLTD beyond mltdMid
 };
 
 } // namespace boreas
