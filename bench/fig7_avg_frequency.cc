@@ -19,118 +19,10 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "harness.hh"
-#include "obs/metrics.hh"
 #include "report.hh"
 
 using namespace boreas;
 using namespace boreas::bench;
-
-namespace
-{
-
-/** Mean of a stage timer between two metrics snapshots, microseconds. */
-double
-timerDeltaMean(const obs::MetricsSnapshot &before,
-               const obs::MetricsSnapshot &after, const std::string &name,
-               uint64_t *samples)
-{
-    uint64_t c0 = 0;
-    double s0 = 0.0;
-    const auto it0 = before.histograms.find(name);
-    if (it0 != before.histograms.end()) {
-        c0 = it0->second.count;
-        s0 = it0->second.sum;
-    }
-    const auto it1 = after.histograms.find(name);
-    if (it1 == after.histograms.end() || it1->second.count <= c0)
-        return 0.0;
-    *samples = it1->second.count - c0;
-    return (it1->second.sum - s0) / static_cast<double>(*samples);
-}
-
-/**
- * Report the thermal-stage split: run the same single-workload
- * calibration trace once with the explicit reference and once with the
- * configured fast integrator, and compare only the stage.thermal.*
- * samples those two runs produced (snapshot deltas — the fast timer
- * already carries every training-run sample, which would mix a
- * different cache regime into its mean).
- */
-void
-reportSolverSpeedup(BenchReport &report, const PipelineConfig &config)
-{
-    if (config.thermal.solver == ThermalSolverKind::Explicit)
-        return; // nothing to compare against
-
-    const WorkloadSpec &workload = *testWorkloads().front();
-    PipelineConfig calib = config;
-    calib.thermal.solver = ThermalSolverKind::Explicit;
-    // Warm each path once unmeasured: the first trace pays plan builds,
-    // state loads and cold caches, which would skew the sample means.
-    {
-        SimulationPipeline warm_ref(calib);
-        warm_ref.runConstantFrequency(workload, kBenchSeed,
-                                      kBaselineFrequency);
-        SimulationPipeline warm_fast(config);
-        warm_fast.runConstantFrequency(workload, kBenchSeed,
-                                       kBaselineFrequency);
-    }
-
-    // Repeat the measured pair and keep the best trace mean per path:
-    // interference on this host is strictly additive, so the minimum
-    // is the robust estimator of the undisturbed per-step cost.
-    constexpr int kReps = 5;
-    const std::string fast_timer =
-        std::string("stage.thermal.") +
-        thermalSolverName(config.thermal.solver);
-    double ref_us = 0.0;
-    double fast_us = 0.0;
-    uint64_t ref_n = 0;
-    uint64_t fast_n = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const obs::MetricsSnapshot t0 =
-            obs::MetricsRegistry::global().snapshot();
-        SimulationPipeline ref_pipeline(calib);
-        ref_pipeline.runConstantFrequency(workload, kBenchSeed,
-                                          kBaselineFrequency);
-        const obs::MetricsSnapshot t1 =
-            obs::MetricsRegistry::global().snapshot();
-        SimulationPipeline fast_pipeline(config);
-        fast_pipeline.runConstantFrequency(workload, kBenchSeed,
-                                           kBaselineFrequency);
-        const obs::MetricsSnapshot t2 =
-            obs::MetricsRegistry::global().snapshot();
-
-        uint64_t rn = 0;
-        uint64_t fn = 0;
-        const double r =
-            timerDeltaMean(t0, t1, "stage.thermal.explicit", &rn);
-        const double f = timerDeltaMean(t1, t2, fast_timer, &fn);
-        if (r > 0.0 && (ref_us <= 0.0 || r < ref_us)) {
-            ref_us = r;
-            ref_n = rn;
-        }
-        if (f > 0.0 && (fast_us <= 0.0 || f < fast_us)) {
-            fast_us = f;
-            fast_n = fn;
-        }
-    }
-    if (ref_us <= 0.0 || fast_us <= 0.0)
-        return;
-
-    std::printf("\n=== thermal stage split (same calibration trace, "
-                "best of %d) ===\n", kReps);
-    std::printf("explicit reference : %.2f us/step (n=%llu)\n", ref_us,
-                static_cast<unsigned long long>(ref_n));
-    std::printf("%-8s fast path : %.2f us/step (n=%llu)  speedup %.1fx\n",
-                thermalSolverName(config.thermal.solver), fast_us,
-                static_cast<unsigned long long>(fast_n),
-                ref_us / fast_us);
-    report.comparison("thermal stage speedup", ">=10x target",
-                      TextTable::num(ref_us / fast_us, 1) + "x");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -252,7 +144,5 @@ main(int argc, char **argv)
                       std::to_string(incursions_by_model["ML05"]));
     report.comparison("ML00 incursions", ">0 (unreliable)",
                       std::to_string(incursions_by_model["ML00"]));
-
-    reportSolverSpeedup(report, ctx->pipeline.config());
     return 0;
 }

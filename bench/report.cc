@@ -1,6 +1,5 @@
 #include "report.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -8,7 +7,6 @@
 #include "common/parallel.hh"
 #include "common/stats.hh"
 #include "harness.hh"
-#include "obs/trace.hh"
 
 namespace boreas::bench
 {
@@ -45,11 +43,8 @@ summarizeLatency(const std::vector<double> &samples_ns)
 
 BenchReport::BenchReport(std::string id) : id_(std::move(id))
 {
-    tracing_ = std::getenv("BOREAS_TRACE") != nullptr;
     obs::MetricsRegistry::global().setEnabled(true);
     obs::MetricsRegistry::global().reset();
-    obs::TraceBuffer::global().setEnabled(tracing_);
-    obs::TraceBuffer::global().clear();
 
     artifact_.manifest.experiment = id_;
     artifact_.manifest.scale = scaleName(benchScale());
@@ -178,20 +173,11 @@ BenchReport::write()
     artifact_.metrics = obs::MetricsRegistry::global().snapshot();
 
     const std::string path = obs::benchArtifactFileName(id_);
-    bool ok = obs::writeBenchArtifactFile(artifact_, path);
+    const bool ok = obs::writeBenchArtifactFile(artifact_, path);
     if (ok)
         boreas_inform("wrote %s", path.c_str());
     else
         boreas_warn("could not write %s", path.c_str());
-
-    if (tracing_) {
-        const std::string trace_path = "TRACE_" + id_ + ".json";
-        if (obs::writeTraceFile(trace_path))
-            boreas_inform("wrote %s (%zu events)", trace_path.c_str(),
-                          obs::TraceBuffer::global().eventCount());
-        else
-            ok = false;
-    }
     return ok;
 }
 

@@ -1,12 +1,11 @@
 /**
  * @file
  * BenchReport: the one-liner that turns a bench main into an artifact
- * producer. Constructing it switches the observability layer on
- * (metrics always; tracing when BOREAS_TRACE is set) and stamps the
- * run manifest; destruction — or an explicit write() — snapshots the
- * metrics and drops BENCH_<id>.json (schema "boreas-bench-v1", see
- * obs/export.hh) next to the bench's text tables, plus TRACE_<id>.json
- * when tracing was on.
+ * producer. Constructing it switches the metrics registry on and
+ * stamps the run manifest; destruction — or an explicit write() —
+ * snapshots the metrics and drops BENCH_<id>.json (schema
+ * "boreas-bench-v1", see obs/export.hh) next to the bench's text
+ * tables.
  *
  * Typical shape of a bench main:
  *
@@ -51,8 +50,8 @@ class BenchReport
 {
   public:
     /**
-     * Start a report for BENCH_<id>.json. Enables the observability
-     * layer, clears any prior metrics/trace state and fills the
+     * Start a report for BENCH_<id>.json. Enables the metrics
+     * registry, clears any prior metrics and fills the
      * manifest with the bench scale, thread count and default seed.
      */
     explicit BenchReport(std::string id);
@@ -104,9 +103,8 @@ class BenchReport
                  const LatencySummary &summary);
 
     /**
-     * Snapshot metrics, stamp the wall time and write BENCH_<id>.json
-     * (and TRACE_<id>.json when tracing). Returns false if a file
-     * could not be written. Idempotent; the destructor skips writing
+     * Snapshot metrics, stamp the wall time and write BENCH_<id>.json.
+     * Returns false if the file could not be written. Idempotent; the destructor skips writing
      * after an explicit call.
      */
     bool write();
@@ -117,7 +115,6 @@ class BenchReport
     obs::BenchSeries latency_; ///< accumulated latency rows
     std::chrono::steady_clock::time_point t0_;
     bool written_ = false;
-    bool tracing_ = false;
 };
 
 } // namespace boreas::bench

@@ -15,8 +15,8 @@
  *     dominated by the *explicit* integrator's accumulated truncation.
  *
  * Timing phase: microseconds per telemetry step for each integrator,
- * step-only (the stage.thermal cost) and full cycle (power ingest +
- * step + temperature publish), plus the resulting speedup columns in
+ * step-only and full cycle (power ingest + step + temperature
+ * publish), plus the resulting speedup columns in
  * BENCH_thermal_solver.json.
  */
 
@@ -40,7 +40,8 @@ using namespace boreas::bench;
 namespace
 {
 
-/** The documented spectral-vs-exact bound CI enforces, Celsius. */
+/** The documented spectral-vs-exact bound, Celsius (the same bound as
+ *  SpectralSolver.WithinBoundOfRefinedReference). */
 constexpr double kExactnessBound = 0.05;
 /** Refinement factor of the near-exact explicit reference. */
 constexpr double kRefinedDtSafety = 0.025;
@@ -144,7 +145,7 @@ trajectoryDivergence(int steps)
 
 struct TimingRow
 {
-    double stepUs = 0.0;  ///< step() only (the stage.thermal cost)
+    double stepUs = 0.0;  ///< step() only
     double cycleUs = 0.0; ///< set power + step + read temperatures
 };
 

@@ -5,7 +5,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "obs/trace.hh"
+#include "obs/metrics.hh"
 #include "workload/registry.hh"
 #include "workload/trace_io.hh"
 
@@ -206,24 +206,20 @@ SimulationPipeline::step(GHz freq)
     std::vector<double> &residuals = residuals_;
     core_counters.assign(ncores, CounterSet{});
     residuals.assign(ncores, 1.0);
-    {
-        obs::ScopedTimer timer("stage.arch");
-        for (int c = 0; c < ncores; ++c) {
-            if (!stimuli[c].active)
-                continue;
-            const PhaseParams &phase = stimuli[c].phase;
-            // Residual switching-activity noise: data-dependent
-            // energy per event that no counter captures. Applied to
-            // power only (the counter-visible activity scale lives in
-            // phase.intensity and is consumed by the core model).
-            if (phase.intensityNoise > 0.0) {
-                residuals[c] = std::exp(source_->noiseRng(c).normal(
-                    0.0, phase.intensityNoise));
-            }
-            core_counters[c] = core_.step(phase, freq,
-                                          config_.stepLength,
-                                          source_->noiseRng(c));
+    for (int c = 0; c < ncores; ++c) {
+        if (!stimuli[c].active)
+            continue;
+        const PhaseParams &phase = stimuli[c].phase;
+        // Residual switching-activity noise: data-dependent energy per
+        // event that no counter captures. Applied to power only (the
+        // counter-visible activity scale lives in phase.intensity and
+        // is consumed by the core model).
+        if (phase.intensityNoise > 0.0) {
+            residuals[c] = std::exp(source_->noiseRng(c).normal(
+                0.0, phase.intensityNoise));
         }
+        core_counters[c] = core_.step(phase, freq, config_.stepLength,
+                                      source_->noiseRng(c));
     }
     rec.counters = core_counters[0];
     if (ncores > 1)
@@ -231,7 +227,6 @@ SimulationPipeline::step(GHz freq)
 
     const std::vector<Celsius> &unit_temps = grid_.unitTemps();
     {
-        obs::ScopedTimer timer("stage.power");
         // Single-core runs keep the original power path so their
         // floating-point op order (hence runHash) is unchanged.
         std::vector<Watts> unit_power;
@@ -254,38 +249,23 @@ SimulationPipeline::step(GHz freq)
         grid_.setUnitPower(unit_power);
     }
 
-    {
-        obs::ScopedTimer timer("stage.thermal");
-        // Nested split so BENCH artifacts can attribute the stage to
-        // the configured integrator (stage.thermal.explicit vs
-        // stage.thermal.spectral).
-        obs::ScopedTimer split(grid_.solverTimerName());
-        grid_.step(config_.stepLength);
-    }
+    grid_.step(config_.stepLength);
 
-    {
-        obs::ScopedTimer timer("stage.sensors");
-        sensors_.sampleAll(grid_, config_.stepLength, sensorRng_);
-        rec.sensorReadings = sensors_.readings();
-        rec.sensorTrue.reserve(sensors_.size());
-        for (size_t i = 0; i < sensors_.size(); ++i)
-            rec.sensorTrue.push_back(
-                sensors_.sensor(static_cast<int>(i)).lastTrueTemp());
-    }
+    sensors_.sampleAll(grid_, config_.stepLength, sensorRng_);
+    rec.sensorReadings = sensors_.readings();
+    rec.sensorTrue.reserve(sensors_.size());
+    for (size_t i = 0; i < sensors_.size(); ++i)
+        rec.sensorTrue.push_back(
+            sensors_.sensor(static_cast<int>(i)).lastTrueTemp());
 
-    {
-        obs::ScopedTimer timer("stage.severity");
-        const Meters cell_size = floorplan_.dieWidth() / grid_.nx();
-        rec.severity = severity_.evaluate(grid_.siliconTemps(),
-                                          grid_.nx(), grid_.ny(),
-                                          cell_size);
-    }
+    const Meters cell_size = floorplan_.dieWidth() / grid_.nx();
+    rec.severity = severity_.evaluate(grid_.siliconTemps(), grid_.nx(),
+                                      grid_.ny(), cell_size);
 
     // Bitwise fingerprint of everything this step observed or
     // mutated. Fed by the determinism audit (tests compare it across
     // thread counts).
     {
-        obs::ScopedTimer timer("stage.hash");
         StateHash hasher;
         hasher.add(rec.step);
         hasher.add(rec.frequency);
@@ -370,7 +350,6 @@ SimulationPipeline::runControllerInner(FrequencyController &controller,
     for (int s = 0; s < steps; ++s) {
         result.steps.push_back(step(freq));
         if ((s + 1) % kStepsPerDecision == 0 && s + 1 < steps) {
-            obs::ScopedTimer timer("stage.controller");
             DecisionContext ctx;
             ctx.currentFreq = freq;
             ctx.counters = &result.steps.back().counters;
@@ -395,7 +374,6 @@ SimulationPipeline::continueWithController(FrequencyController &controller,
     for (int s = 0; s < steps; ++s) {
         result.steps.push_back(step(*freq));
         if ((s + 1) % kStepsPerDecision == 0) {
-            obs::ScopedTimer timer("stage.controller");
             DecisionContext ctx;
             ctx.currentFreq = *freq;
             ctx.counters = &result.steps.back().counters;

@@ -6,8 +6,8 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "floorplan/skylake.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "workload/registry.hh"
 
 namespace boreas::fleet
@@ -92,8 +92,11 @@ FleetSimulator::run()
     std::vector<DieSlot> slots(n);
 
     // Setup is serial: spec parsing is cheap, and a die that fails
-    // must be reported without disturbing its siblings. startSource()
-    // panics on a core-count mismatch, so validate here instead.
+    // must be reported without disturbing its siblings. start() panics
+    // on a core-count mismatch, and the grid on a recorded warm-power
+    // vector of the wrong length, so validate both here instead.
+    const size_t num_units =
+        buildSkylakeFloorplan(config_.base.floorplan).numUnits();
     for (int i = 0; i < n; ++i) {
         const FleetDieSpec &die = config_.dies[i];
         DieSlot &slot = slots[i];
@@ -109,6 +112,16 @@ FleetSimulator::run()
                 "workload '%s' drives %d cores but the die has %d",
                 die.workload.c_str(), slot.source->numCores(),
                 config_.base.floorplan.numCores);
+            slot.source.reset();
+            continue;
+        }
+        const std::vector<Watts> *warm =
+            slot.source->recordedWarmPower();
+        if (warm != nullptr && warm->size() != num_units) {
+            slot.error = strfmt(
+                "workload '%s' carries %zu warm-power entries but the "
+                "die has %zu units",
+                die.workload.c_str(), warm->size(), num_units);
             slot.source.reset();
             continue;
         }
@@ -151,7 +164,6 @@ FleetSimulator::run()
 
         // Epoch barrier: the pool join above published every slot;
         // read them serially in die order and move the caps.
-        obs::ScopedTimer timer("stage.fleet_barrier");
         std::vector<DieEpochTelemetry> telemetry(slots.size());
         Watts epoch_power = 0.0;
         for (int i = 0; i < n; ++i) {

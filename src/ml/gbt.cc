@@ -10,7 +10,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "obs/trace.hh"
+#include "obs/metrics.hh"
 
 namespace boreas
 {

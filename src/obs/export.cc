@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/trace.hh"
 
 namespace boreas::obs
 {
@@ -263,17 +262,6 @@ writeBenchArtifactFile(const BenchArtifact &artifact,
     if (!out)
         return false;
     writeBenchArtifact(artifact, out);
-    out.flush();
-    return out.good();
-}
-
-bool
-writeTraceFile(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    TraceBuffer::global().writeJson(out);
     out.flush();
     return out.good();
 }

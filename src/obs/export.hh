@@ -77,10 +77,4 @@ void writeBenchArtifact(const BenchArtifact &artifact, std::ostream &os);
 bool writeBenchArtifactFile(const BenchArtifact &artifact,
                             const std::string &path);
 
-/**
- * Write a chrome://tracing JSON of the global trace buffer to a file.
- * Returns false if the file cannot be opened or written.
- */
-bool writeTraceFile(const std::string &path);
-
 } // namespace boreas::obs

@@ -136,4 +136,13 @@ MetricsRegistry::reset()
     }
 }
 
+void
+ScopedTimer::finish()
+{
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
+    MetricsRegistry::global().observe(name_, us);
+}
+
 } // namespace boreas::obs

@@ -3,7 +3,8 @@
  * Process-wide metrics registry (DESIGN.md §8): counters, gauges and
  * power-of-two-bucketed histograms, sharded per thread so the hot path
  * never takes a lock, merged into one deterministically-ordered
- * snapshot on demand.
+ * snapshot on demand, plus ScopedTimer, which times a scope into a
+ * histogram.
  *
  * Determinism contract
  *   - Observability reads simulator state, never feeds it: nothing in
@@ -32,6 +33,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -129,6 +131,38 @@ class MetricsRegistry
     mutable std::mutex mutex_; ///< guards the shard list only
     std::vector<std::unique_ptr<Shard>> shards_;
     std::atomic<bool> enabled_{false};
+};
+
+/**
+ * RAII timer: times its scope into the histogram `name`, in
+ * microseconds. Costs one relaxed load when the registry is disabled.
+ * `name` must be a string literal (it is stored by pointer).
+ */
+class ScopedTimer
+{
+  public:
+    explicit ScopedTimer(const char *name)
+    {
+        if (MetricsRegistry::global().enabled()) {
+            name_ = name;
+            start_ = std::chrono::steady_clock::now();
+        }
+    }
+
+    ~ScopedTimer()
+    {
+        if (name_ != nullptr)
+            finish();
+    }
+
+    ScopedTimer(const ScopedTimer &) = delete;
+    ScopedTimer &operator=(const ScopedTimer &) = delete;
+
+  private:
+    void finish();
+
+    const char *name_ = nullptr;
+    std::chrono::steady_clock::time_point start_{};
 };
 
 } // namespace boreas::obs

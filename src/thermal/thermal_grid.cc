@@ -6,7 +6,6 @@
 #include "common/checked.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "thermal/spectral_solver.hh"
 
 namespace
@@ -122,18 +121,6 @@ ThermalGrid::spectralNetwork() const
 
 ThermalGrid::~ThermalGrid() = default;
 
-const char *
-ThermalGrid::solverTimerName() const
-{
-    switch (params_.solver) {
-    case ThermalSolverKind::Spectral:
-        return "stage.thermal.spectral";
-    case ThermalSolverKind::Explicit:
-        break;
-    }
-    return "stage.thermal.explicit";
-}
-
 void
 ThermalGrid::computeConstants()
 {
@@ -216,10 +203,8 @@ ThermalGrid::setUnitPower(const std::vector<Watts> &unit_power)
             pCell_[map.cells[k]] += p * map.fractions[k];
     }
 
-    if (spectral_ != nullptr) {
-        obs::ScopedTimer timer("stage.thermal.ingest");
+    if (spectral_ != nullptr)
         spectral_->setPower(pCell_);
-    }
 }
 
 void
@@ -416,7 +401,6 @@ ThermalGrid::ensureSiliconCurrent() const
 {
     if (siValid_)
         return;
-    obs::ScopedTimer timer("stage.thermal.publish");
     spectral_->realizeSilicon(tSi_);
     siValid_ = true;
 }
@@ -426,7 +410,6 @@ ThermalGrid::ensureSpreaderCurrent() const
 {
     if (spValid_)
         return;
-    obs::ScopedTimer timer("stage.thermal.publish");
     spectral_->realizeSpreader(tSp_);
     spValid_ = true;
 }

@@ -131,9 +131,6 @@ class ThermalGrid
 
     ThermalSolverKind solverKind() const { return params_.solver; }
 
-    /** Stage-timer name of the active solver (a string literal). */
-    const char *solverTimerName() const;
-
     /** Largest stable explicit substep (with the safety factor). */
     Seconds maxStableDt() const { return dtMax_; }
 

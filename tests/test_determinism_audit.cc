@@ -7,7 +7,8 @@
  * training. test_parallel.cc compares selected fields; the hash
  * covers the full state (all 76 counters, the whole silicon
  * temperature field, severity, sensors), so any nondeterminism that
- * slips into a future change trips it.
+ * slips into a future change trips it. The pipeline checks run on
+ * both thermal integrators.
  */
 
 #include <gtest/gtest.h>
@@ -20,12 +21,12 @@
 #include "common/parallel.hh"
 #include "ml/gbt.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "test_util.hh"
 #include "workload/spec2006.hh"
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
+using boreas::test::kBothSolvers;
 
 namespace
 {
@@ -47,7 +48,7 @@ struct SweepHashes
 };
 
 SweepHashes
-sweepHashes()
+sweepHashes(ThermalSolverKind solver)
 {
     const std::vector<const WorkloadSpec *> wls{
         &findWorkload("bzip2"), &findWorkload("gromacs")};
@@ -59,7 +60,7 @@ sweepHashes()
     out.runHashes.resize(wls.size() * freqs.size());
     parallelForEach(
         0, static_cast<int64_t>(out.runHashes.size()), 1, [&](int64_t i) {
-            SimulationPipeline pipeline(fastPipelineConfig());
+            SimulationPipeline pipeline(fastPipelineConfig(solver));
             const size_t wi = static_cast<size_t>(i) / freqs.size();
             const size_t fi = static_cast<size_t>(i) % freqs.size();
             const RunResult run = pipeline.runConstantFrequency(
@@ -110,22 +111,27 @@ TEST(DeterminismAudit, StepHashesIdenticalAt1And8Threads)
 {
     GlobalPoolGuard guard;
 
-    ThreadPool::resetGlobal(1);
-    const SweepHashes serial = sweepHashes();
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        ThreadPool::resetGlobal(1);
+        const SweepHashes serial = sweepHashes(solver);
 
-    ThreadPool::resetGlobal(8);
-    const SweepHashes threaded = sweepHashes();
+        ThreadPool::resetGlobal(8);
+        const SweepHashes threaded = sweepHashes(solver);
 
-    ASSERT_EQ(serial.stepHashes.size(), threaded.stepHashes.size());
-    for (size_t r = 0; r < serial.stepHashes.size(); ++r) {
-        ASSERT_EQ(serial.stepHashes[r].size(),
-                  threaded.stepHashes[r].size());
-        for (size_t s = 0; s < serial.stepHashes[r].size(); ++s) {
-            ASSERT_EQ(serial.stepHashes[r][s], threaded.stepHashes[r][s])
-                << "run " << r << " step " << s
-                << ": pipeline state diverged between 1 and 8 threads";
+        ASSERT_EQ(serial.stepHashes.size(), threaded.stepHashes.size());
+        for (size_t r = 0; r < serial.stepHashes.size(); ++r) {
+            ASSERT_EQ(serial.stepHashes[r].size(),
+                      threaded.stepHashes[r].size());
+            for (size_t s = 0; s < serial.stepHashes[r].size(); ++s) {
+                ASSERT_EQ(serial.stepHashes[r][s],
+                          threaded.stepHashes[r][s])
+                    << "run " << r << " step " << s
+                    << ": pipeline state diverged between 1 and 8 "
+                       "threads";
+            }
+            EXPECT_EQ(serial.runHashes[r], threaded.runHashes[r]);
         }
-        EXPECT_EQ(serial.runHashes[r], threaded.runHashes[r]);
     }
 }
 
@@ -149,49 +155,55 @@ TEST(DeterminismAudit, StepHashDiscriminatesSeeds)
 
 TEST(DeterminismAudit, RunHashReproducesForSameSeed)
 {
-    SimulationPipeline pipeline(fastPipelineConfig());
     const WorkloadSpec &wl = findWorkload("sjeng");
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        SimulationPipeline pipeline(fastPipelineConfig(solver));
 
-    pipeline.runConstantFrequency(wl, 5, 4.25, 16);
-    const uint64_t first = pipeline.runHash();
-    pipeline.runConstantFrequency(wl, 5, 4.25, 16);
-    const uint64_t second = pipeline.runHash();
+        pipeline.runConstantFrequency(wl, 5, 4.25, 16);
+        const uint64_t first = pipeline.runHash();
+        pipeline.runConstantFrequency(wl, 5, 4.25, 16);
+        const uint64_t second = pipeline.runHash();
 
-    EXPECT_EQ(first, second);
+        EXPECT_EQ(first, second);
+    }
 }
 
 TEST(DeterminismAudit, RunHashIdenticalWithObsOnAndOff)
 {
     // The observability layer (src/obs) reads simulator state but must
-    // never feed it: enabling metrics + tracing cannot move a single
-    // bit of any state hash, at any thread count.
+    // never feed it: enabling metrics cannot move a single bit of any
+    // state hash, at any thread count.
     GlobalPoolGuard guard;
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     struct ObsOffGuard
     {
         ~ObsOffGuard()
         {
-            obs::setEnabled(false);
+            obs::MetricsRegistry::global().setEnabled(false);
             obs::MetricsRegistry::global().reset();
-            obs::TraceBuffer::global().clear();
         }
     } obs_guard;
 
-    for (int threads : {1, 8}) {
-        ThreadPool::resetGlobal(threads);
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        for (int threads : {1, 8}) {
+            SCOPED_TRACE(thermalSolverName(solver));
+            ThreadPool::resetGlobal(threads);
 
-        obs::setEnabled(false);
-        const SweepHashes off = sweepHashes();
+            metrics.setEnabled(false);
+            const SweepHashes off = sweepHashes(solver);
 
-        obs::setEnabled(true);
-        const SweepHashes on = sweepHashes();
-        obs::setEnabled(false);
+            metrics.setEnabled(true);
+            const SweepHashes on = sweepHashes(solver);
+            metrics.setEnabled(false);
 
-        ASSERT_EQ(off.runHashes, on.runHashes)
-            << "observability perturbed the run hash at " << threads
-            << " thread(s)";
-        ASSERT_EQ(off.stepHashes, on.stepHashes)
-            << "observability perturbed a step hash at " << threads
-            << " thread(s)";
+            ASSERT_EQ(off.runHashes, on.runHashes)
+                << "observability perturbed the run hash at "
+                << threads << " thread(s)";
+            ASSERT_EQ(off.stepHashes, on.stepHashes)
+                << "observability perturbed a step hash at " << threads
+                << " thread(s)";
+        }
     }
 }
 

@@ -3,25 +3,35 @@
  * Tests of the fleet layer (DESIGN.md §13): the global-budget cap
  * assignment, epoch chaining against a single long run, per-die fault
  * containment, heterogeneous per-die configuration, and the
- * 1-vs-8-thread rollup determinism gate.
+ * 1-vs-8-thread rollup determinism gate. The containment and
+ * determinism gates run on both thermal integrators.
  */
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "boreas/pipeline.hh"
+#include "boreas/trainer.hh"
 #include "common/parallel.hh"
+#include "control/boreas_controller.hh"
 #include "control/static_controllers.hh"
 #include "fleet/fleet.hh"
+#include "sensors/placement.hh"
 #include "test_util.hh"
 #include "workload/registry.hh"
+#include "workload/spec2006.hh"
+#include "workload/trace_io.hh"
 
 using namespace boreas;
 using namespace boreas::fleet;
 using boreas::test::fastPipelineConfig;
+using boreas::test::kBothSolvers;
+using boreas::test::tinyTrainerConfig;
 
 namespace
 {
@@ -43,12 +53,36 @@ fixedFactory(GHz freq)
     };
 }
 
+/**
+ * A model-driven ML05 factory: the predict path inside the fleet's
+ * epoch fan-out. The model is trained once per test process on the
+ * tiny recipe (a few seconds).
+ */
+DieControllerFactory
+ml05Factory()
+{
+    static const TrainedBoreas trained = [] {
+        SimulationPipeline pipeline(fastPipelineConfig());
+        const std::vector<const WorkloadSpec *> train_set{
+            &findWorkload("povray"), &findWorkload("gromacs"),
+            &findWorkload("sjeng"), &findWorkload("mcf"),
+        };
+        return trainBoreas(pipeline, train_set, tinyTrainerConfig());
+    }();
+    return [](int) {
+        return std::make_unique<BoreasController>(
+            "ML05", &trained.model, trained.featureNames, 0.05,
+            kBestSensorIndex);
+    };
+}
+
 /** A small heterogeneous fleet on the fast 32x32 thermal grid. */
 FleetConfig
-smallFleet(Watts budget = 0.0)
+smallFleet(Watts budget = 0.0,
+           ThermalSolverKind solver = ThermalSolverKind::Explicit)
 {
     FleetConfig cfg;
-    cfg.base = fastPipelineConfig();
+    cfg.base = fastPipelineConfig(solver);
     cfg.epochs = 2;
     cfg.epochSteps = 2 * kStepsPerDecision;
     cfg.controller.globalBudget = budget;
@@ -185,53 +219,103 @@ TEST(Fleet, ChainedEpochsMatchOneLongRun)
 
 TEST(Fleet, RollupIsIdenticalAcrossThreadCounts)
 {
+    // Fixed-frequency and model-driven (ML05) dies, on both thermal
+    // integrators; the fleet adds a 4-core NAS mix and the core-hopping
+    // adversary to the single-program dies.
     GlobalPoolGuard guard;
-    const FleetConfig cfg = smallFleet();
-    const DieControllerFactory factory = fixedFactory(4.5);
+    const std::pair<const char *, DieControllerFactory> controllers[] = {
+        {"fixed-4.5", fixedFactory(4.5)},
+        {"ML05", ml05Factory()},
+    };
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        FleetConfig cfg = smallFleet(0.0, solver);
+        for (const char *workload :
+             {"mix:bt.B+is.D+ep.B+cg.B@stagger=0.8e-3",
+              "adversarial:corehop"}) {
+            FleetDieSpec die = cfg.dies.back();
+            die.workload = workload;
+            ++die.seed;
+            cfg.dies.push_back(die);
+        }
+        for (const auto &[name, factory] : controllers) {
+            SCOPED_TRACE(std::string(thermalSolverName(solver)) + " " +
+                         name);
+            ThreadPool::resetGlobal(1);
+            const FleetRollup serial = FleetSimulator(cfg, factory).run();
 
-    ThreadPool::resetGlobal(1);
-    const FleetRollup serial = FleetSimulator(cfg, factory).run();
+            ThreadPool::resetGlobal(8);
+            const FleetRollup threaded =
+                FleetSimulator(cfg, factory).run();
 
-    ThreadPool::resetGlobal(8);
-    const FleetRollup threaded = FleetSimulator(cfg, factory).run();
-
-    ASSERT_EQ(serial.perDie.size(), threaded.perDie.size());
-    for (size_t i = 0; i < serial.perDie.size(); ++i) {
-        EXPECT_EQ(serial.perDie[i].runHash, threaded.perDie[i].runHash)
-            << "die " << i;
-        EXPECT_EQ(serial.perDie[i].steps, threaded.perDie[i].steps);
-        EXPECT_EQ(serial.perDie[i].incursionSteps,
-                  threaded.perDie[i].incursionSteps);
+            ASSERT_EQ(serial.failedDies, 0);
+            ASSERT_EQ(serial.perDie.size(), threaded.perDie.size());
+            for (size_t i = 0; i < serial.perDie.size(); ++i) {
+                EXPECT_EQ(serial.perDie[i].runHash,
+                          threaded.perDie[i].runHash)
+                    << "die " << i;
+                EXPECT_EQ(serial.perDie[i].steps,
+                          threaded.perDie[i].steps);
+                EXPECT_EQ(serial.perDie[i].incursionSteps,
+                          threaded.perDie[i].incursionSteps);
+            }
+            EXPECT_EQ(serial.rollupHash, threaded.rollupHash);
+            EXPECT_EQ(serial.totalSteps, threaded.totalSteps);
+        }
     }
-    EXPECT_EQ(serial.rollupHash, threaded.rollupHash);
-    EXPECT_EQ(serial.totalSteps, threaded.totalSteps);
 }
 
 TEST(Fleet, BadDieSpecsAreReportedWithoutAbortingTheFleet)
 {
-    FleetConfig cfg = smallFleet();
-    cfg.dies[1].workload = "mix:mcf+nosuchprogram"; // parse failure
-    // More cores than the 4-core die: core-count containment (the
-    // pipeline itself would panic on this).
-    cfg.dies[2].workload = "mix:mcf+povray+bzip2+gromacs+mcf";
+    // A boreas-trace-v1 file whose warm-power vector does not match the
+    // floorplan's unit count decodes fine (the checksum covers only the
+    // step payload); the grid would panic on it inside the parallel
+    // warm start.
+    const std::string short_warm_path =
+        testing::TempDir() + "boreas_fleet_short_warm.trace";
+    {
+        SimulationPipeline pipeline(fastPipelineConfig());
+        TraceRecorder recorder;
+        pipeline.setTraceRecorder(&recorder);
+        auto source = makeWorkloadSource("mcf");
+        pipeline.runConstantFrequency(*source, 7, 4.5, kStepsPerDecision);
+        TraceData trace = recorder.takeData();
+        ASSERT_FALSE(trace.warmPower.empty());
+        trace.warmPower.pop_back();
+        writeTraceFile(short_warm_path, trace);
+    }
 
-    const FleetRollup r =
-        FleetSimulator(cfg, fixedFactory(4.5)).run();
-    EXPECT_EQ(r.dies, 4);
-    EXPECT_EQ(r.failedDies, 2);
-    EXPECT_FALSE(r.perDie[1].ok);
-    EXPECT_NE(r.perDie[1].error.find("nosuchprogram"),
-              std::string::npos);
-    EXPECT_FALSE(r.perDie[2].ok);
-    EXPECT_NE(r.perDie[2].error.find("cores"), std::string::npos);
-    // The healthy dies still ran every configured step.
-    const int64_t expected =
-        static_cast<int64_t>(cfg.epochs) * cfg.epochSteps;
-    EXPECT_TRUE(r.perDie[0].ok);
-    EXPECT_EQ(r.perDie[0].steps, expected);
-    EXPECT_TRUE(r.perDie[3].ok);
-    EXPECT_EQ(r.perDie[3].steps, expected);
-    EXPECT_EQ(r.totalSteps, 2 * expected);
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        FleetConfig cfg = smallFleet(0.0, solver);
+        cfg.dies[1].workload = "mix:mcf+nosuchprogram"; // parse failure
+        // More cores than the 4-core die: core-count containment (the
+        // pipeline itself would panic on this).
+        cfg.dies[2].workload = "mix:mcf+povray+bzip2+gromacs+mcf";
+        cfg.dies.push_back(cfg.dies[0]);
+        cfg.dies[4].workload = "trace:" + short_warm_path;
+
+        const FleetRollup r =
+            FleetSimulator(cfg, fixedFactory(4.5)).run();
+        EXPECT_EQ(r.dies, 5);
+        EXPECT_EQ(r.failedDies, 3);
+        EXPECT_FALSE(r.perDie[1].ok);
+        EXPECT_NE(r.perDie[1].error.find("nosuchprogram"),
+                  std::string::npos);
+        EXPECT_FALSE(r.perDie[2].ok);
+        EXPECT_NE(r.perDie[2].error.find("cores"), std::string::npos);
+        EXPECT_FALSE(r.perDie[4].ok);
+        EXPECT_NE(r.perDie[4].error.find("warm-power"), std::string::npos)
+            << r.perDie[4].error;
+        // The healthy dies still ran every configured step.
+        const int64_t expected =
+            static_cast<int64_t>(cfg.epochs) * cfg.epochSteps;
+        EXPECT_TRUE(r.perDie[0].ok);
+        EXPECT_EQ(r.perDie[0].steps, expected);
+        EXPECT_TRUE(r.perDie[3].ok);
+        EXPECT_EQ(r.perDie[3].steps, expected);
+        EXPECT_EQ(r.totalSteps, 2 * expected);
+    }
+    std::remove(short_warm_path.c_str());
 }
 
 TEST(Fleet, TightBudgetLowersFleetFrequency)

@@ -396,7 +396,7 @@ TEST(LintConcurrency, WallClockFires)
         "void f() { auto t = std::chrono::steady_clock::now(); }\n";
     EXPECT_EQ(countRule(lintContent("src/thermal/thermal_grid.cc",
                                     body), "wall-clock"), 1);
-    EXPECT_EQ(countRule(lintContent("tools/probe.cc", body),
+    EXPECT_EQ(countRule(lintContent("tools/calibrate.cc", body),
                         "wall-clock"), 1);
     // obs owns timing; bench exists to measure.
     EXPECT_TRUE(lintContent("src/obs/export.cc", body).empty());

@@ -2,7 +2,7 @@
  * @file
  * Tests for the observability layer (DESIGN.md §8): deterministic
  * metric merging across thread counts, zero-cost disabled behavior,
- * trace buffer JSON, and the BENCH_<id>.json artifact schema (golden).
+ * the scoped timer, and the BENCH_<id>.json artifact schema (golden).
  */
 
 #include <gtest/gtest.h>
@@ -13,13 +13,11 @@
 #include "common/parallel.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 using namespace boreas;
 using obs::HistogramData;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-using obs::TraceBuffer;
 
 namespace
 {
@@ -31,8 +29,6 @@ struct ObsGuard
     {
         MetricsRegistry::global().setEnabled(false);
         MetricsRegistry::global().reset();
-        TraceBuffer::global().setEnabled(false);
-        TraceBuffer::global().clear();
         ThreadPool::resetGlobal(ThreadPool::defaultThreads());
     }
 };
@@ -137,45 +133,24 @@ TEST(Metrics, HistogramBucketsBracketTheirValues)
     EXPECT_EQ(HistogramData::bucketFor(-5.0), 0u);
 }
 
-TEST(Trace, ScopedTimerFeedsHistogramAndBuffer)
+TEST(Metrics, ScopedTimerFeedsHistogram)
 {
     ObsGuard guard;
-    obs::setEnabled(true);
+    MetricsRegistry::global().setEnabled(true);
     MetricsRegistry::global().reset();
-    TraceBuffer::global().clear();
 
+    {
+        obs::ScopedTimer timer("test.stage");
+    }
+    MetricsRegistry::global().setEnabled(false);
     {
         obs::ScopedTimer timer("test.stage");
     }
 
     const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
     ASSERT_EQ(snap.histograms.count("test.stage"), 1u);
-    EXPECT_EQ(snap.histograms.at("test.stage").count, 1u);
-    EXPECT_EQ(TraceBuffer::global().eventCount(), 1u);
-}
-
-TEST(Trace, WriteJsonIsSortedAndWellFormed)
-{
-    ObsGuard guard;
-    TraceBuffer::global().setEnabled(true);
-    TraceBuffer::global().clear();
-    TraceBuffer::global().record("later", 20.0, 1.5);
-    TraceBuffer::global().record("earlier", 10.0, 2.0);
-
-    std::ostringstream os;
-    TraceBuffer::global().writeJson(os);
-    const std::string json = os.str();
-
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    const auto earlier = json.find("earlier");
-    const auto later = json.find("later");
-    ASSERT_NE(earlier, std::string::npos);
-    ASSERT_NE(later, std::string::npos);
-    EXPECT_LT(earlier, later) << "events must be sorted by start time";
-
-    TraceBuffer::global().clear();
-    EXPECT_EQ(TraceBuffer::global().eventCount(), 0u);
+    EXPECT_EQ(snap.histograms.at("test.stage").count, 1u)
+        << "a timer scoped while the registry is off must not record";
 }
 
 TEST(Export, GoldenBenchArtifact)

@@ -1,14 +1,16 @@
 /**
  * @file
  * boreas-trace-v1 record/replay tests: bit-identical replay of a
- * recorded run (the headline determinism guarantee, checked at 1 and
- * 8 threads), container round-trips through encode/decode and through
- * the filesystem, corruption detection, and the committed fixture
- * under tests/data/.
+ * recorded run through the on-disk byte format (the headline
+ * determinism guarantee, on both thermal integrators and checked at 1
+ * and 8 threads), container round-trips through encode/decode and
+ * through the filesystem, corruption detection, and the committed
+ * fixture under tests/data/.
  */
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 
 using namespace boreas;
 using boreas::test::fastPipelineConfig;
+using boreas::test::kBothSolvers;
 
 namespace
 {
@@ -38,14 +41,15 @@ struct GlobalPoolGuard
     }
 };
 
-/** Record a live run of the 2-core mix; returns (trace, live hashes). */
+/** Record a live run of `spec`; returns (trace, live hashes). */
 TraceData
-recordMixRun(std::vector<uint64_t> *step_hashes, uint64_t *run_hash)
+recordRun(const std::string &spec, ThermalSolverKind solver,
+          std::vector<uint64_t> *step_hashes, uint64_t *run_hash)
 {
-    SimulationPipeline pipeline(fastPipelineConfig());
+    SimulationPipeline pipeline(fastPipelineConfig(solver));
     TraceRecorder recorder;
     pipeline.setTraceRecorder(&recorder);
-    auto source = makeWorkloadSource(kMixSpec);
+    auto source = makeWorkloadSource(spec);
     const RunResult r =
         pipeline.runConstantFrequency(*source, kSeed, kFreq, kSteps);
     if (step_hashes) {
@@ -58,10 +62,19 @@ recordMixRun(std::vector<uint64_t> *step_hashes, uint64_t *run_hash)
     return recorder.takeData();
 }
 
-uint64_t
-replayRun(const TraceData &data, std::vector<uint64_t> *step_hashes)
+/** Record a live explicit-solver run of the 2-core mix. */
+TraceData
+recordMixRun(std::vector<uint64_t> *step_hashes, uint64_t *run_hash)
 {
-    SimulationPipeline pipeline(fastPipelineConfig());
+    return recordRun(kMixSpec, ThermalSolverKind::Explicit, step_hashes,
+                     run_hash);
+}
+
+uint64_t
+replayRun(const TraceData &data, std::vector<uint64_t> *step_hashes,
+          ThermalSolverKind solver = ThermalSolverKind::Explicit)
+{
+    SimulationPipeline pipeline(fastPipelineConfig(solver));
     TraceSource source(data);
     const RunResult r =
         pipeline.runConstantFrequency(source, kSeed, kFreq, kSteps);
@@ -83,44 +96,70 @@ fixturePath()
 
 TEST(TraceRoundtrip, ReplayIsBitIdenticalToLiveRun)
 {
-    std::vector<uint64_t> live_steps;
-    uint64_t live_hash = 0;
-    const TraceData trace = recordMixRun(&live_steps, &live_hash);
+    // Record -> encode -> decode -> replay, as bench/workload_replay
+    // does: the 2-core mix, the 4-core staggered NAS mix and the
+    // core-hopping adversary, on both thermal integrators.
+    const std::pair<const char *, int> scenarios[] = {
+        {kMixSpec, 2},
+        {"mix:bt.B+is.D+ep.B+cg.B@stagger=0.8e-3", 4},
+        {"adversarial:corehop", 4},
+    };
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        for (const auto &[spec, cores] : scenarios) {
+            SCOPED_TRACE(std::string(thermalSolverName(solver)) + " " +
+                         spec);
+            std::vector<uint64_t> live_steps;
+            uint64_t live_hash = 0;
+            TraceData trace =
+                recordRun(spec, solver, &live_steps, &live_hash);
 
-    ASSERT_EQ(trace.numCores, 2);
-    ASSERT_EQ(static_cast<int>(trace.steps.size()), kSteps);
-    ASSERT_EQ(trace.seed, kSeed);
-    ASSERT_FALSE(trace.warmPower.empty())
-        << "recorded traces carry the warm-start power vector";
+            ASSERT_EQ(trace.numCores, cores);
+            ASSERT_EQ(static_cast<int>(trace.steps.size()), kSteps);
+            ASSERT_EQ(trace.seed, kSeed);
+            ASSERT_FALSE(trace.warmPower.empty())
+                << "recorded traces carry the warm-start power vector";
 
-    std::vector<uint64_t> replay_steps;
-    const uint64_t replay_hash = replayRun(trace, &replay_steps);
+            TraceData decoded;
+            std::string error;
+            ASSERT_TRUE(decodeTrace(encodeTrace(trace), &decoded, &error))
+                << error;
 
-    ASSERT_EQ(live_steps.size(), replay_steps.size());
-    for (size_t i = 0; i < live_steps.size(); ++i)
-        ASSERT_EQ(live_steps[i], replay_steps[i]) << "step " << i;
-    EXPECT_EQ(live_hash, replay_hash);
+            std::vector<uint64_t> replay_steps;
+            const uint64_t replay_hash =
+                replayRun(decoded, &replay_steps, solver);
+
+            ASSERT_EQ(live_steps.size(), replay_steps.size());
+            for (size_t i = 0; i < live_steps.size(); ++i)
+                ASSERT_EQ(live_steps[i], replay_steps[i]) << "step " << i;
+            EXPECT_EQ(live_hash, replay_hash);
+        }
+    }
 }
 
 TEST(TraceRoundtrip, ReplayHashStableAcrossThreadCounts)
 {
     GlobalPoolGuard guard;
 
-    ThreadPool::resetGlobal(1);
-    uint64_t live1 = 0;
-    const TraceData trace = recordMixRun(nullptr, &live1);
-    const uint64_t replay1 = replayRun(trace, nullptr);
+    for (const ThermalSolverKind solver : kBothSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        ThreadPool::resetGlobal(1);
+        uint64_t live1 = 0;
+        const TraceData trace = recordRun(kMixSpec, solver, nullptr,
+                                          &live1);
+        const uint64_t replay1 = replayRun(trace, nullptr, solver);
 
-    ThreadPool::resetGlobal(8);
-    uint64_t live8 = 0;
-    const TraceData trace8 = recordMixRun(nullptr, &live8);
-    const uint64_t replay8 = replayRun(trace, nullptr);
+        ThreadPool::resetGlobal(8);
+        uint64_t live8 = 0;
+        const TraceData trace8 = recordRun(kMixSpec, solver, nullptr,
+                                           &live8);
+        const uint64_t replay8 = replayRun(trace, nullptr, solver);
 
-    EXPECT_EQ(live1, live8) << "live mix run depends on thread count";
-    EXPECT_EQ(replay1, replay8) << "replay depends on thread count";
-    EXPECT_EQ(live1, replay1);
-    EXPECT_EQ(trace.payloadChecksum, trace8.payloadChecksum)
-        << "recorded payload depends on thread count";
+        EXPECT_EQ(live1, live8) << "live mix run depends on thread count";
+        EXPECT_EQ(replay1, replay8) << "replay depends on thread count";
+        EXPECT_EQ(live1, replay1);
+        EXPECT_EQ(trace.payloadChecksum, trace8.payloadChecksum)
+            << "recorded payload depends on thread count";
+    }
 }
 
 TEST(TraceRoundtrip, EncodeDecodePreservesEverything)

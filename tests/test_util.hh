@@ -18,13 +18,22 @@ namespace boreas::test
 /** Pipeline config with a 32x32 grid: ~4x faster, same qualitative
  *  behaviour. */
 inline PipelineConfig
-fastPipelineConfig()
+fastPipelineConfig(ThermalSolverKind solver = ThermalSolverKind::Explicit)
 {
     PipelineConfig cfg;
     cfg.thermal.nx = 32;
     cfg.thermal.ny = 32;
+    cfg.thermal.solver = solver;
     return cfg;
 }
+
+/** Both thermal integrators: the library default (explicit) and the
+ *  one every bench runs (spectral). Invariants that must hold on the
+ *  shipped path loop over this. */
+inline constexpr ThermalSolverKind kBothSolvers[] = {
+    ThermalSolverKind::Explicit,
+    ThermalSolverKind::Spectral,
+};
 
 /** Trainer config small enough for unit tests (seconds, not minutes). */
 inline TrainerConfig

@@ -48,7 +48,7 @@
  *   mutable-global-state
  *                       Non-const static/global mutable data in src/
  *                       outside the allowlisted singleton homes
- *                       (common/parallel, obs/metrics, obs/trace).
+ *                       (common/parallel, obs/metrics).
  *   wall-clock          Wall-clock / std::this_thread use outside
  *                       bench/ and src/obs.
  *

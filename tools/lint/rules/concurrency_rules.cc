@@ -23,7 +23,7 @@
  *   mutable-global-state       Non-const static/global mutable data
  *                              in src/ outside the allowlisted
  *                              singleton homes (common/parallel, the
- *                              obs registries). Globals are invisible
+ *                              obs registry). Globals are invisible
  *                              inputs that break run replayability.
  *   wall-clock                 Wall-clock / std::this_thread use
  *                              outside bench/ and src/obs. Simulated
@@ -88,14 +88,13 @@ checkWallClock(const FileContext &ctx, std::vector<Violation> &out)
 // --------------------------------------------------------------- //
 
 /** Files allowed to own process-wide mutable state: the global
- *  thread-pool singleton and the obs registries/shards (their merge
+ *  thread-pool singleton and the obs registry/shards (their merge
  *  discipline is documented in DESIGN.md §8). */
 bool
 isGlobalStateAllowlisted(const std::string &path)
 {
     return pathContains(path, "common/parallel") ||
-        pathContains(path, "obs/metrics") ||
-        pathContains(path, "obs/trace");
+        pathContains(path, "obs/metrics");
 }
 
 bool
